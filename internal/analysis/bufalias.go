@@ -42,7 +42,6 @@ var disjointSigs = []struct {
 	{"internal/dist", "SOI", "Inverse", 0, 1},
 	{"internal/fft", "SixStep", "Forward", 0, 1},
 	{"internal/conv", "", "Apply", 2, 3},
-	{"internal/conv", "", "ApplySoA", 1, 2},
 	{"internal/conv", "", "ApplyDense", 1, 2},
 }
 

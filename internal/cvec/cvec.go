@@ -1,80 +1,16 @@
 // Package cvec provides low-level kernels on vectors of double-precision
-// complex numbers: layout conversion between array-of-structs (AoS,
-// []complex128) and struct-of-arrays (SoA), pointwise arithmetic, strided
+// complex numbers ([]complex128): pointwise arithmetic, strided
 // gather/scatter, cache-blocked matrix transposition and error norms.
 //
 // These kernels are the Go analogue of the hand-vectorized primitives the
 // paper builds its node-local FFT and convolution on (Section 5.2 and 5.3):
-// SoA layout avoids cross-lane shuffles, blocked transposes bound the
-// working set, and fused scale/multiply passes save memory sweeps.
+// blocked transposes bound the working set, and fused scale/multiply passes
+// save memory sweeps. The paper's split real/imaginary (SoA) layout exists
+// to keep SIMD lanes free of shuffles; Go has no SIMD, so every kernel here
+// works on interleaved complex128 (DESIGN.md §11).
 package cvec
 
 import "math"
-
-// SoA holds a complex vector in struct-of-arrays layout: Re[i] + i*Im[i].
-// The paper's kernels use SoA internally "for arrays with complex numbers
-// that avoids gather and scatter or cross-lane operations" (Section 5.2.4).
-type SoA struct {
-	Re []float64
-	Im []float64
-}
-
-// soaPlanePad is the gap, in float64 elements, left between the two planes
-// of one NewSoA allocation: one 64-byte cache line. Large Go allocations
-// are page-aligned, so two separate make calls would start both planes at
-// the same address modulo 4096; for power-of-two transform sizes every
-// butterfly leg of the Im plane would then collide with the matching Re leg
-// in the same L1 set, and a radix-8 stage needs 16 ways where the hardware
-// has 8. Packing both planes into one backing array with a one-line skew
-// puts the Re and Im streams in adjacent sets, halving the conflict load to
-// exactly what the AoS layout already survives.
-const soaPlanePad = 8
-
-// NewSoA allocates an SoA vector of length n. Both planes share one backing
-// allocation, skewed by soaPlanePad; the planes are capacity-clipped so no
-// append or reslice can reach across the gap.
-//
-//soilint:shape len(return.Re) == n
-//soilint:shape len(return.Im) == n
-func NewSoA(n int) SoA {
-	b := make([]float64, 2*n+soaPlanePad)
-	return SoA{Re: b[:n:n], Im: b[n+soaPlanePad : 2*n+soaPlanePad : 2*n+soaPlanePad]}
-}
-
-// Len returns the number of complex elements.
-//
-//soilint:shape return == len(Re)
-func (s SoA) Len() int { return len(s.Re) }
-
-// Slice returns the sub-vector [lo, hi).
-func (s SoA) Slice(lo, hi int) SoA {
-	return SoA{Re: s.Re[lo:hi], Im: s.Im[lo:hi]}
-}
-
-// FromComplex converts an AoS vector into a freshly allocated SoA vector.
-func FromComplex(x []complex128) SoA {
-	s := NewSoA(len(x))
-	for i, v := range x {
-		s.Re[i] = real(v)
-		s.Im[i] = imag(v)
-	}
-	return s
-}
-
-// ToComplex converts an SoA vector into a freshly allocated AoS vector.
-func (s SoA) ToComplex() []complex128 {
-	x := make([]complex128, s.Len())
-	for i := range x {
-		x[i] = complex(s.Re[i], s.Im[i])
-	}
-	return x
-}
-
-// CopyTo copies s into dst; both must have the same length.
-func (s SoA) CopyTo(dst SoA) {
-	copy(dst.Re, s.Re)
-	copy(dst.Im, s.Im)
-}
 
 // Scale multiplies every element of x by the real scalar a, in place.
 func Scale(x []complex128, a float64) {

@@ -14,33 +14,6 @@ func seqVec(n int) []complex128 {
 	return x
 }
 
-func TestSoARoundTrip(t *testing.T) {
-	x := seqVec(37)
-	s := FromComplex(x)
-	if s.Len() != 37 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	y := s.ToComplex()
-	if MaxAbsDiff(x, y) != 0 {
-		t.Fatal("SoA round trip changed values")
-	}
-}
-
-func TestSoASliceCopy(t *testing.T) {
-	s := FromComplex(seqVec(16))
-	sub := s.Slice(4, 12)
-	if sub.Len() != 8 {
-		t.Fatalf("slice len %d", sub.Len())
-	}
-	dst := NewSoA(8)
-	sub.CopyTo(dst)
-	for i := 0; i < 8; i++ {
-		if dst.Re[i] != float64(i+4) {
-			t.Fatalf("CopyTo[%d] = %v", i, dst.Re[i])
-		}
-	}
-}
-
 func TestScale(t *testing.T) {
 	x := seqVec(9)
 	Scale(x, 2)

@@ -20,7 +20,6 @@ type LaneBatch struct {
 	n, lanes int
 	stages   []stage
 	work     sync.Pool
-	soa      soaState // lazy SoA resources (soa_lane.go)
 }
 
 // NewLaneBatch builds a batch plan for `lanes` interleaved transforms of

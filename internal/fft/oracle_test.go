@@ -11,30 +11,27 @@ import (
 )
 
 // The differential kernel-oracle suite. One table drives every algorithm
-// (Plan, all four SixStep variants, forced-backend flavors) through every
-// layout (AoS, SoA) and direction against oracles of known answers:
+// (Plan in both directions, all four SixStep variants) against oracles of
+// known answers:
 //
 //   - the dense O(n^2) reference DFT from internal/ref, for every size
 //     where it is affordable (n <= denseOracleMax);
 //   - analytic closed forms (shifted impulse, tone combs) that are exact at
 //     any size, covering the Fig. 11 geometry sizes where the dense oracle
-//     is out of reach;
-//   - each engine's own AoS result, which the SoA run must match within
-//     reassociation tolerance (the two backends perform the same arithmetic
-//     on different layouts).
+//     is out of reach.
 //
 // This replaces the per-kernel ad-hoc comparisons that used to live in
-// plan_test.go and sixstep_test.go: a new kernel backend or variant gets
-// full oracle coverage by appearing in oracleEngines.
+// plan_test.go and sixstep_test.go: a new kernel or variant gets full
+// oracle coverage by appearing in oracleEngines.
 
 const (
 	// oracleTol bounds the relative L2 error of any engine against an
 	// exact oracle (dense or analytic).
 	oracleTol = 1e-9
-	// crossTol bounds AoS vs SoA disagreement of one engine: same
-	// operation order on different layouts, so only reassociation by the
-	// compiler may differ.
-	crossTol = 1e-12
+	// laneTol bounds a lane-batch lane against the scalar Plan of the same
+	// length: both run the same stage kernels on the same schedule, so
+	// only reassociation by the compiler may differ.
+	laneTol = 1e-12
 	// denseOracleMax is the largest size the O(n^2) dense oracle runs at.
 	denseOracleMax = 2048
 )
@@ -54,48 +51,35 @@ var (
 	oracleLargeSizes = []int{28672, 458752}
 )
 
-// oracleEngine is one (algorithm, variant, backend) under test: an AoS
-// entry point and its SoA twin, plus the directions it implements.
+// oracleEngine is one (algorithm, variant) under test, plus the
+// directions it implements.
 type oracleEngine struct {
 	name string
 	dirs []Direction
-	aos  func(dst, src []complex128, dir Direction)
-	soa  func(dst, src cvec.SoA, dir Direction)
+	run  func(dst, src []complex128, dir Direction)
 }
 
 // oracleEngines builds every engine applicable to size n.
-func oracleEngines(t *testing.T, n int) []oracleEngine {
-	t.Helper()
+func oracleEngines(n int) []oracleEngine {
 	p := MustPlan(n)
 	engines := []oracleEngine{{
 		name: "plan",
 		dirs: []Direction{Forward, Inverse},
-		aos:  p.Transform,
-		soa:  p.TransformSoA,
+		run:  p.Transform,
 	}}
 	if n < 4 {
 		return engines
-	}
-	addSixStep := func(name string, s *SixStep) {
-		engines = append(engines, oracleEngine{
-			name: name,
-			dirs: []Direction{Forward}, // SixStep is forward-only
-			aos:  func(dst, src []complex128, _ Direction) { s.Forward(dst, src) },
-			soa:  func(dst, src cvec.SoA, _ Direction) { s.ForwardSoA(dst, src) },
-		})
 	}
 	for _, v := range AllVariants {
 		s, err := NewSixStep(n, v, 4)
 		if err != nil {
 			return engines // prime n: no 2D split for any variant
 		}
-		addSixStep(fmt.Sprintf("6step/%v/%v", v, s.Backend()), s)
-	}
-	// The opt variant auto-selects the SoA backend; pin the AoS backend as
-	// its own engine so both implementations stay under oracle coverage
-	// and cross-check against each other through the shared oracles.
-	if sAoS, err := NewSixStepBackend(n, SixStepOpt, 4, BackendAoS); err == nil {
-		addSixStep("6step/6-step-opt/forced-aos", sAoS)
+		engines = append(engines, oracleEngine{
+			name: fmt.Sprintf("6step/%v", v),
+			dirs: []Direction{Forward}, // SixStep is forward-only
+			run:  func(dst, src []complex128, _ Direction) { s.Forward(dst, src) },
+		})
 	}
 	return engines
 }
@@ -112,12 +96,19 @@ type oracleInput struct {
 func oracleInputs(n int) []oracleInput {
 	var ins []oracleInput
 
-	// Random data against the dense oracle where affordable; at larger
-	// sizes it still drives the AoS-vs-SoA cross-check.
+	// Random data against the dense oracle where affordable. At larger
+	// sizes every engine must agree with the Plan, which the impulse and
+	// tone oracles below verify exactly.
 	rnd := oracleInput{name: "random", x: ref.RandomVector(n, int64(n)), want: map[Direction][]complex128{}}
 	if n <= denseOracleMax {
 		rnd.want[Forward] = ref.DFT(rnd.x)
 		rnd.want[Inverse] = ref.IDFT(rnd.x)
+	} else {
+		p := MustPlan(n)
+		for _, dir := range []Direction{Forward, Inverse} {
+			rnd.want[dir] = make([]complex128, n)
+			p.Transform(rnd.want[dir], rnd.x, dir)
+		}
 	}
 	ins = append(ins, rnd)
 
@@ -174,33 +165,18 @@ func dirName(d Direction) string {
 	return "forward"
 }
 
-// runOracleSize drives every engine x direction x layout x stimulus at one
-// size.
+// runOracleSize drives every engine x direction x stimulus at one size.
 func runOracleSize(t *testing.T, n int) {
-	engines := oracleEngines(t, n)
+	engines := oracleEngines(n)
 	inputs := oracleInputs(n)
 	for _, eng := range engines {
 		for _, dir := range eng.dirs {
 			for _, in := range inputs {
 				want := in.want[dir]
-				gotAoS := make([]complex128, n)
-				eng.aos(gotAoS, in.x, dir)
-				if want != nil {
-					if e := cvec.RelErrL2(gotAoS, want); e > oracleTol {
-						t.Errorf("%s/%s/aos/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
-					}
-				}
-				src := cvec.FromComplex(in.x)
-				dst := cvec.NewSoA(n)
-				eng.soa(dst, src, dir)
-				gotSoA := dst.ToComplex()
-				if want != nil {
-					if e := cvec.RelErrL2(gotSoA, want); e > oracleTol {
-						t.Errorf("%s/%s/soa/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
-					}
-				}
-				if e := cvec.RelErrL2(gotSoA, gotAoS); e > crossTol {
-					t.Errorf("%s/%s/%s n=%d: AoS vs SoA disagree by %g", eng.name, dirName(dir), in.name, n, e)
+				got := make([]complex128, n)
+				eng.run(got, in.x, dir)
+				if e := cvec.RelErrL2(got, want); e > oracleTol {
+					t.Errorf("%s/%s/%s n=%d: relerr %g vs oracle", eng.name, dirName(dir), in.name, n, e)
 				}
 			}
 		}
@@ -228,9 +204,9 @@ func TestKernelOracleFig11Sizes(t *testing.T) {
 	}
 }
 
-// TestKernelOracleLaneBatch drives the lane-interleaved batch kernel, both
-// layouts and directions, against the (oracle-verified) Plan on each
-// deinterleaved lane.
+// TestKernelOracleLaneBatch drives the lane-interleaved batch kernel in
+// both directions against the (oracle-verified) Plan on each deinterleaved
+// lane.
 func TestKernelOracleLaneBatch(t *testing.T) {
 	cases := [][2]int{
 		{1, 4}, {2, 3}, {4, 8}, {8, 8}, {16, 5}, {64, 8},
@@ -245,21 +221,15 @@ func TestKernelOracleLaneBatch(t *testing.T) {
 		p := MustPlan(n)
 		x := ref.RandomVector(n*lanes, int64(n*lanes))
 		for _, dir := range []Direction{Forward, Inverse} {
-			gotAoS := append([]complex128(nil), x...)
-			lb.Transform(gotAoS, dir)
-			s := cvec.FromComplex(x)
-			lb.TransformSoA(s, dir)
-			gotSoA := s.ToComplex()
-			if e := cvec.RelErrL2(gotSoA, gotAoS); e > crossTol {
-				t.Errorf("lane n=%d lanes=%d %s: AoS vs SoA disagree by %g", n, lanes, dirName(dir), e)
-			}
+			got := append([]complex128(nil), x...)
+			lb.Transform(got, dir)
 			col := make([]complex128, n)
 			want := make([]complex128, n)
 			for l := 0; l < lanes; l++ {
 				cvec.GatherStride(col, x, l, lanes)
 				p.Transform(want, col, dir)
-				cvec.GatherStride(col, gotAoS, l, lanes)
-				if e := cvec.RelErrL2(col, want); e > crossTol {
+				cvec.GatherStride(col, got, l, lanes)
+				if e := cvec.RelErrL2(col, want); e > laneTol {
 					t.Errorf("lane n=%d lanes=%d %s lane %d: relerr %g vs plan", n, lanes, dirName(dir), l, e)
 				}
 			}

@@ -34,7 +34,6 @@ type Plan struct {
 	stages []stage    // mixed-radix schedule (nil when blue != nil or n <= 2)
 	blue   *bluestein // chirp-z fallback for rough sizes
 	work   sync.Pool
-	soa    soaState // lazy SoA resources (soa_plan.go)
 }
 
 // stage describes one Stockham pass: the current sub-transform length is
@@ -43,11 +42,7 @@ type Plan struct {
 type stage struct {
 	r, m, s int
 	tw      []complex128
-	wr      []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4
-	// Split-plane twiddle tables for the SoA backend; populated lazily by
-	// ensureSoAStages (kernel.go) so AoS-only plans never allocate them.
-	twRe, twIm []float64
-	wrRe, wrIm []float64
+	wr      []complex128 // wr[t*r+u] = exp(-2*pi*i*t*u/r); nil for r=2,3,4,8
 }
 
 // NewPlan creates a transform plan for length n (n >= 1).
@@ -95,8 +90,7 @@ func (p *Plan) N() int { return p.n }
 
 // aliasingStride8 reports whether a radix-8 butterfly whose write legs are
 // separated by s complex elements maps all eight of them onto one L1 set
-// group. 256 complex elements = 4096 bytes in AoS layout; the SoA planes
-// alias at s%512 == 0, so the AoS criterion covers both layouts.
+// group: 256 complex128 elements = 4096 bytes, one page.
 func aliasingStride8(s int) bool { return s%256 == 0 }
 
 // factorize splits n into the radix schedule used by the Stockham kernel.
@@ -113,7 +107,7 @@ func aliasingStride8(s int) bool { return s%256 == 0 }
 // aliasing read legs every power-of-two length has) against 8-way hardware
 // and thrashes at every working-set size; a radix-4 stage needs exactly 8
 // ways and stays at streaming bandwidth, so two radix-4 passes beat one
-// thrashing radix-8 pass on both kernel layouts.
+// thrashing radix-8 pass.
 //
 // Returns smooth=false when n has a prime factor > maxGenericRadix.
 func factorize(n, strideMul int) (radices []int, smooth bool) {
@@ -172,14 +166,6 @@ func buildStages(n int, radices []int) []stage {
 		s *= r
 	}
 	return stages
-}
-
-func (p *Plan) getWork() []complex128 {
-	return *(p.work.Get().(*[]complex128))
-}
-
-func (p *Plan) putWork(b []complex128) {
-	p.work.Put(&b)
 }
 
 // Transform computes the DFT of src into dst. dst and src must both have
@@ -246,8 +232,9 @@ func (p *Plan) Inverse(dst, src []complex128) { p.Transform(dst, src, Inverse) }
 // dst, with no final copy (one fewer memory sweep — the kind of accounting
 // Section 5.2 of the paper is about).
 func (p *Plan) stockham(dst, src []complex128, dir Direction) {
-	w := p.getWork()
-	defer p.putWork(w)
+	wp := p.work.Get().(*[]complex128)
+	defer p.work.Put(wp)
+	w := *wp
 
 	a, b := dst, w
 	if len(p.stages)%2 != 0 {

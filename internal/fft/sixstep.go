@@ -105,32 +105,15 @@ type SixStep struct {
 	// fault per tile and defeats the bandwidth model (soilint:hotalloc).
 	tilePool sync.Pool // length tileCols*(n1+rowPad), column pass
 	rowPool  sync.Pool // length (n2+rowPad)*tileCols, row pass
-
-	// Kernel backend (kernel.go). BackendSoA runs the split-plane pipeline
-	// of soa_sixstep.go; its twiddle planes and plane pools are built
-	// lazily under soaOnce.
-	backend                    Backend
-	soaOnce                    sync.Once
-	twARe, twAIm, twBRe, twBIm []float64
-	workSoA                    sync.Pool // cvec.SoA of length n
-	tileSoAPool                sync.Pool // cvec.SoA planes, column pass slab
-	rowSoAPool                 sync.Pool // cvec.SoA planes, row pass buffer
 }
 
 // NewSixStep builds a 6-step plan for length n with the given variant.
 // workers <= 0 selects GOMAXPROCS. n must be >= 4 and have a nontrivial
 // divisor split (every composite n qualifies; primes are rejected — callers
-// use a plain Plan for those). The kernel backend is chosen by PickBackend;
-// NewSixStepBackend (soa_sixstep.go) accepts an explicit one.
+// use a plain Plan for those).
 //
 //soilint:shape return.n == n
 func NewSixStep(n int, variant Variant, workers int) (*SixStep, error) {
-	return NewSixStepBackend(n, variant, workers, BackendAuto)
-}
-
-// newSixStepAoS builds the plan with its AoS resources; backend selection
-// and SoA resources layer on top in NewSixStepBackend.
-func newSixStepAoS(n int, variant Variant, workers int) (*SixStep, error) {
 	if n < 4 {
 		return nil, fmt.Errorf("fft: SixStep length %d too small", n)
 	}
@@ -249,16 +232,11 @@ func (s *SixStep) Forward(dst, src []complex128) {
 		panic("fft: SixStep buffers too short")
 	}
 	dst, src = dst[:s.n], src[:s.n]
-	switch {
-	case s.variant == SixStepNaive:
+	if s.variant == SixStepNaive {
 		s.forwardNaive(dst, src)
-	case s.backend == BackendSoA:
-		// Split-plane pipeline; AoS<->SoA conversion rides the staging
-		// sweeps the pass performs anyway (soa_sixstep.go).
-		s.forwardOptSoA(vec{aos: dst}, vec{aos: src})
-	default:
-		s.forwardOpt(dst, src)
+		return
 	}
+	s.forwardOpt(dst, src)
 }
 
 // forwardNaive is Fig. 4a: every step is a separate full pass.

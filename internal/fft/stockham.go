@@ -175,8 +175,12 @@ func stageRadix8(st *stage, y, x []complex128) {
 // It costs O(r^2) per butterfly, which is acceptable for the small primes
 // (5, 7, 11, 13) it is used for; larger primes go through Bluestein.
 func stageGeneric(st *stage, y, x []complex128) {
-	r, m, s := st.r, st.m, st.s
-	u := make([]complex128, r)
+	// factorize routes primes above maxGenericRadix to Bluestein, so the
+	// butterfly inputs fit a stack array (no allocation per pass) and the
+	// min never binds; it only proves the reslice in bounds.
+	var ubuf [maxGenericRadix]complex128
+	u := ubuf[:min(uint(st.r), maxGenericRadix)]
+	r, m, s := len(u), st.m, st.s
 	for p := 0; p < m; p++ {
 		twRow := st.tw[p*(r-1) : p*(r-1)+(r-1)]
 		for q := 0; q < s; q++ {

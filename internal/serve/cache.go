@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"soifft"
-	"soifft/internal/cvec"
 	"soifft/internal/fft"
 )
 
@@ -270,39 +269,4 @@ func (b *bufPool) put(x []complex128) {
 		return
 	}
 	b.pool(len(x)).Put(&x)
-}
-
-// soaBufPool pools cvec.SoA scratch by exact length — the gather buffer of
-// the split-plane lane executor (fft.PickLaneBackend selecting BackendSoA).
-type soaBufPool struct {
-	mu    sync.Mutex
-	pools map[int]*sync.Pool
-}
-
-func (b *soaBufPool) pool(n int) *sync.Pool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.pools == nil {
-		b.pools = make(map[int]*sync.Pool)
-	}
-	p, ok := b.pools[n]
-	if !ok {
-		p = &sync.Pool{New: func() any {
-			s := cvec.NewSoA(n)
-			return &s
-		}}
-		b.pools[n] = p
-	}
-	return p
-}
-
-func (b *soaBufPool) get(n int) cvec.SoA {
-	return *(b.pool(n).Get().(*cvec.SoA))
-}
-
-func (b *soaBufPool) put(x cvec.SoA) {
-	if x.Len() == 0 {
-		return
-	}
-	b.pool(x.Len()).Put(&x)
 }
