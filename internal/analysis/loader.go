@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -199,7 +200,11 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// goSources lists the non-test .go files of dir, sorted.
+// goSources lists the non-test .go files of dir that the go command would
+// build for the host's GOOS and GOARCH, sorted: a _GOARCH file-name suffix
+// or a //go:build line that excludes the file drops it, as it does for go
+// vet, so a package that pairs a body-less assembly declaration with a
+// pure-Go twin for other architectures type-checks as one package.
 func goSources(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -211,7 +216,13 @@ func goSources(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

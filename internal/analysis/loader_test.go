@@ -39,6 +39,30 @@ func TestLoadTypeErrors(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints: files a _GOARCH suffix or a //go:build
+// line excludes are not loaded, so an assembly declaration and its pure-Go
+// twin for other architectures do not collide as a redeclaration, and the
+// analyzers see exactly the files the go command builds.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	pkg, err := loaderFor(t).LoadDir(fixtureDir("buildtags"))
+	if err != nil {
+		t.Fatalf("LoadDir(buildtags): %v", err)
+	}
+	if len(pkg.TypeErrors) != 0 {
+		t.Fatalf("TypeErrors = %v, want none", pkg.TypeErrors)
+	}
+	var names []string
+	for _, f := range pkg.Files {
+		names = append(names, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	if len(names) != 2 || names[1] != "use.go" {
+		t.Fatalf("loaded %v, want one kernel file and use.go", names)
+	}
+	if active, _, _ := Run(pkg, All); len(active) != 0 {
+		t.Errorf("analyzers reported findings on the build-tag fixture: %v", active)
+	}
+}
+
 // TestLoadDirCaching: loading the same import path twice returns the same
 // package, so a ./... run type-checks each package once.
 func TestLoadDirCaching(t *testing.T) {

@@ -17,7 +17,8 @@
 //	             window through a contiguous circular buffer, converting B
 //	             long-stride loads per inner product into B contiguous
 //	             loads plus dmu strided loads per chunk ("Avoiding Cache
-//	             Conflict Misses by Buffering").
+//	             Conflict Misses by Buffering"). Its inner products run
+//	             in the packed-SSE2 kernels of dot.go on amd64.
 //
 // All variants produce bit-identical results up to floating-point
 // reassociation; tests pin them against each other and against a direct
@@ -182,64 +183,68 @@ func applyInterchange(f *window.Filter, u, x []complex128, c0, c1, workers int) 
 
 // applyBuffered adds the circular input staging: lane j's window of B
 // stride-S inputs lives in a contiguous ring; each chunk advances the ring
-// by dmu elements copied from the strided input.
+// by dmu elements copied from the strided input. The ring is 2B long and
+// every element is written at both head and head+B, so the window is always
+// the contiguous ring[head:head+B]. The inner products run through the
+// kernels of dot.go: dot4 for each group of four output rows, dot1 for the
+// nmu%4 rows left over (one pass of dot1 measured faster than a dot4 pass
+// padded with zero rows at mu=5/4).
 func applyBuffered(f *window.Filter, u, x []complex128, c0, c1, workers int) {
 	s := f.Segments
 	nmu, dmu, b := f.NMu, f.DMu, f.B
 	nchunks := c1 - c0
+	quads := nmu / 4
 	par.For(workers, s, func(jlo, jhi int) {
-		laneTaps := make([][]complex128, nmu) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
-		for a := range laneTaps {
-			laneTaps[a] = make([]complex128, b) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
-		}
-		ring := make([]complex128, b) //soilint:ignore hotalloc per-worker ring buffer, allocated once per worker
+		// The lane's taps in the kernels' layout: rows below 4*quads are
+		// interleaved k-major in groups of four, tp[(a&^3)*b+4k+a&3], the
+		// rest are contiguous, tp[a*b+k]; ts holds the rotated twins.
+		tp := make([]complex128, nmu*b) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
+		ts := make([]complex128, nmu*b) //soilint:ignore hotalloc per-worker scratch: one make per worker, amortized over the whole lane range
+		ring := make([]complex128, 2*b) //soilint:ignore hotalloc per-worker ring buffer, allocated once per worker
+		var acc [4]complex128
 		for j := jlo; j < jhi; j++ {
 			for a := 0; a < nmu; a++ {
 				src := f.Taps[a]
-				dst := laneTaps[a]
-				for bb := range dst {
-					dst[bb] = src[bb*s+j]
+				off, step := a*b, 1
+				if a < 4*quads {
+					off, step = (a&^3)*b+a&3, 4
+				}
+				for k := 0; k < b; k++ {
+					t := src[k*s+j]
+					tp[off+step*k] = t
+					ts[off+step*k] = complex(-imag(t), real(t))
 				}
 			}
 			// Fill the ring with the first chunk's window.
-			for bb := range ring {
-				ring[bb] = x[bb*s+j]
+			for k := 0; k < b; k++ {
+				v := x[k*s+j]
+				ring[k] = v
+				ring[k+b] = v
 			}
 			head := 0 // ring[head] is logical window element 0
 			for c := 0; ; c++ {
-				for a := 0; a < nmu; a++ {
-					taps := laneTaps[a]
-					var accRe, accIm float64
-					// Two contiguous runs: [head, b) then [0, head), with
-					// tap block [0, b-head) against the first run and
-					// [b-head, b) against the second. Reslicing each run and
-					// its tap block to a shared length hoists the bounds
-					// proof out of the accumulation loops: the four one-time
-					// slice checks here replace four checks per tap.
-					r1 := ring[head:]
-					t1 := taps[:len(r1)]
-					for k, v := range r1 {
-						t := t1[k]
-						accRe += real(t)*real(v) - imag(t)*imag(v)
-						accIm += real(t)*imag(v) + imag(t)*real(v)
+				w := ring[head : head+b]
+				out := u[c*nmu*s+j:]
+				for a := 0; a < 4*quads; a += 4 {
+					dot4(&acc, tp[a*b:], ts[a*b:], w)
+					for r, v := range acc {
+						out[(a+r)*s] = v
 					}
-					r2 := ring[:head]
-					t2 := taps[len(r1):][:len(r2)]
-					for k, v := range r2 {
-						t := t2[k]
-						accRe += real(t)*real(v) - imag(t)*imag(v)
-						accIm += real(t)*imag(v) + imag(t)*real(v)
-					}
-					u[(c*nmu+a)*s+j] = complex(accRe, accIm)
+				}
+				for a := 4 * quads; a < nmu; a++ {
+					dot1(&acc[0], tp[a*b:], ts[a*b:], w)
+					out[a*s] = acc[0]
 				}
 				if c == nchunks-1 {
 					break
 				}
 				// Advance the window by dmu: overwrite the dmu oldest
-				// entries with the next strided inputs.
+				// entries, both copies, with the next strided inputs.
 				nextBase := (c+1)*dmu*s + (b-dmu)*s // first new element
 				for d := 0; d < dmu; d++ {
-					ring[head] = x[nextBase+d*s+j]
+					v := x[nextBase+d*s+j]
+					ring[head] = v
+					ring[head+b] = v
 					head++
 					if head == b {
 						head = 0

@@ -15,9 +15,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop Puts")
 	}
-	// Codelet sizes, pure powers of two (radix 8/4), and smooth sizes whose
-	// schedules include the generic radix-5, 7, 11 and 13 stages.
-	planSizes := []int{1, 2, 8, 16, 1024, 3584, 14336, 1001, 1664, 2560}
+	// Codelet sizes, pure powers of two (radix 8/4), smooth sizes whose
+	// schedules include the generic radix-5, 7, 11 and 13 stages, and the
+	// prime 1009, which runs Bluestein.
+	planSizes := []int{1, 2, 8, 16, 1024, 3584, 14336, 1001, 1664, 2560, 1009}
 	for _, n := range planSizes {
 		p := MustPlan(n)
 		src := ref.RandomVector(n, int64(n))

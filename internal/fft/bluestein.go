@@ -3,6 +3,7 @@ package fft
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // bluestein implements the chirp-z transform: an arbitrary-length DFT
@@ -16,6 +17,7 @@ type bluestein struct {
 	chirp []complex128 // chirp[j] = exp(-pi*i*j^2/n), j in [0,n)
 	fb    []complex128 // forward FFT of the wrapped conjugate chirp, length m
 	sub   *Plan        // power-of-two convolution plan
+	work  sync.Pool    // *[]complex128 of length m: the convolution buffer
 }
 
 func newBluestein(n int) (*bluestein, error) {
@@ -24,6 +26,10 @@ func newBluestein(n int) (*bluestein, error) {
 	}
 	m := nextPow2(2*n - 1)
 	b := &bluestein{n: n, m: m}
+	b.work.New = func() any {
+		a := make([]complex128, m)
+		return &a
+	}
 	sub, err := NewPlan(m)
 	if err != nil {
 		return nil, err
@@ -61,7 +67,10 @@ func newBluestein(n int) (*bluestein, error) {
 // forward chirp machinery.
 func (b *bluestein) transform(dst, src []complex128, dir Direction) {
 	n, m := b.n, b.m
-	a := make([]complex128, m)
+	ap := b.work.Get().(*[]complex128)
+	defer b.work.Put(ap)
+	a := *ap
+	clear(a[n:]) // the zero padding of the chirp-modulated input
 	if dir == Forward {
 		for j := 0; j < n; j++ {
 			a[j] = src[j] * b.chirp[j]

@@ -149,10 +149,19 @@ func TestCollectiveErrorPaths(t *testing.T) {
 	for _, col := range collectives {
 		t.Run(col.name+"/peer closed", func(t *testing.T) {
 			start := time.Now()
+			// The dead rank closes before any survivor starts: an inproc
+			// Send into a still-open mailbox is buffered and succeeds, so a
+			// survivor whose only contact with the dead rank is one send
+			// (rank 1 in Bcast) would otherwise race its Close and could
+			// finish cleanly, leaving no survivor to notice the death.
+			closed := make(chan struct{})
 			errs := runWorld(t, size, 100*time.Millisecond, func(c Comm) error {
 				if c.Rank() == size-1 {
-					return c.Close() // dies without participating
+					err := c.Close() // dies without participating
+					close(closed)
+					return err
 				}
+				<-closed
 				return col.run(c)
 			})
 			failed := 0

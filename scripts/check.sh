@@ -34,6 +34,10 @@ run_gate() {
 
 run_gate "go build ./..." go build ./...
 run_gate "go vet ./..." go vet ./...
+# The conv kernels are SSE2 assembly on amd64 and a pure-Go twin elsewhere;
+# cross-compiling for arm64 keeps the twin and every other package building
+# off amd64 (no download needed: the toolchain cross-compiles itself).
+run_gate "GOARCH=arm64 vet conv + build ./..." sh -c 'GOARCH=arm64 go vet ./internal/conv && GOARCH=arm64 go build ./...'
 # The combined run doubles as the hard per-analyzer wall-time gate: an
 # analyzer over its checked-in budget (or a budget entry out of sync with
 # the suite) fails CI even with zero findings.
@@ -53,7 +57,7 @@ run_gate "go test -race (fault-injection sweep)" go test -race ./internal/faultc
 # The numeric packages document their plans as safe for concurrent use, and
 # conv's shared-output race hammer only has teeth under the race detector;
 # -short keeps the large oracle sizes out of the race run.
-run_gate "go test -race -short (numeric kernels)" go test -race -short ./internal/fft ./internal/conv ./internal/soi .
+run_gate "go test -race -short (numeric kernels)" go test -race -short ./internal/fft ./internal/conv ./internal/soi ./internal/codec .
 
 # Fuzz smoke: each untrusted decode surface gets a brief randomized pass
 # beyond the checked-in corpus — the wire frame codec and the payload block
